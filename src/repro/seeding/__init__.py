@@ -22,7 +22,6 @@ from repro.seeding.words import (
     DEFAULT_THRESHOLD,
     DEFAULT_WORD_LENGTH,
     Neighborhood,
-    all_words,
     build_neighborhood,
     num_words,
     word_indices,
@@ -36,7 +35,6 @@ __all__ = [
     "QueryDFA",
     "TaggedHits",
     "WordLookupTable",
-    "all_words",
     "build_neighborhood",
     "masked_fraction",
     "num_words",

@@ -36,10 +36,13 @@ if TYPE_CHECKING:
 class TaggedHits:
     """Query-tagged hits of one database block, structure-of-arrays.
 
-    All arrays are aligned. ``seq_id`` / ``subject_pos`` are local to the
-    swept block (the caller rebases through
-    :meth:`~repro.io.database.SequenceDatabase.to_global`); ``query_id``
-    indexes the batch the owning :class:`MultiQueryIndex` was built from.
+    All arrays are aligned and grouped by ``query_id`` in batch order —
+    query ``q``'s hits are the ``per_query[q]`` rows after those of queries
+    ``0 .. q-1`` — each query's hits in the order the sweep found them.
+    ``seq_id`` / ``subject_pos`` are local to the swept block (the caller
+    rebases through :meth:`~repro.io.database.SequenceDatabase.to_global`);
+    ``query_id`` indexes the batch the owning :class:`MultiQueryIndex` was
+    built from.
     """
 
     query_id: np.ndarray
@@ -175,13 +178,21 @@ class MultiQueryIndex:
         cum = np.cumsum(counts)
         within = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
         entry = np.repeat(starts, counts) + within
-        query_pos = self.positions[entry].astype(np.int64)
         query_id = self.query_ids[entry]
         per_query = np.bincount(query_id, minlength=self.num_queries).astype(np.int64)
+        if self.num_queries > 1:
+            # Group by query once (stable, so each query keeps its sweep
+            # order); the narrowest id dtype gets numpy's radix sort.
+            order = np.argsort(
+                query_id.astype(np.min_scalar_type(self.num_queries - 1)), kind="stable"
+            )
+            query_id, seq_id, subject_pos, entry = (
+                query_id[order], seq_id[order], subject_pos[order], entry[order]
+            )
         return TaggedHits(
             query_id=query_id,
             seq_id=seq_id,
-            query_pos=query_pos,
+            query_pos=self.positions[entry].astype(np.int64),
             subject_pos=subject_pos,
             per_query=per_query,
         )
@@ -200,12 +211,14 @@ class MultiQueryIndex:
 
         The returned hits are exactly what per-query hit detection finds
         for that query against the same block (same multiset; the
-        conformance argument the batched pipeline rests on).
+        conformance argument the batched pipeline rests on), in the order
+        the sweep found them. The arrays are views into ``tagged``.
         """
-        mask = tagged.query_id == query_index
+        lo = int(tagged.per_query[:query_index].sum())
+        hits = slice(lo, lo + int(tagged.per_query[query_index]))
         return HitArray(
-            seq_id=tagged.seq_id[mask],
-            query_pos=tagged.query_pos[mask],
-            subject_pos=tagged.subject_pos[mask],
+            seq_id=tagged.seq_id[hits],
+            query_pos=tagged.query_pos[hits],
+            subject_pos=tagged.subject_pos[hits],
             query_length=self.query_lengths[query_index],
         )

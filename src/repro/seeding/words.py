@@ -31,24 +31,6 @@ def num_words(word_length: int = DEFAULT_WORD_LENGTH) -> int:
     return ALPHABET_SIZE**word_length
 
 
-def all_words(word_length: int = DEFAULT_WORD_LENGTH) -> np.ndarray:
-    """Enumerate every word as residue codes.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``uint8`` array of shape ``(num_words, word_length)``; row ``i`` is
-        the code sequence of the word with index ``i``.
-    """
-    n = num_words(word_length)
-    idx = np.arange(n, dtype=np.int64)
-    cols = []
-    for k in range(word_length):
-        shift = ALPHABET_SIZE ** (word_length - 1 - k)
-        cols.append((idx // shift) % ALPHABET_SIZE)
-    return np.stack(cols, axis=1).astype(np.uint8)
-
-
 def word_indices(codes: np.ndarray, word_length: int = DEFAULT_WORD_LENGTH) -> np.ndarray:
     """Word index of every length-``W`` window of a code sequence.
 
@@ -130,9 +112,13 @@ def build_neighborhood(
 ) -> Neighborhood:
     """Build the neighbourhood of every query position.
 
-    The full ``num_words x num_positions`` score table is computed in one
-    vectorised pass (a few tens of MB for the longest paper query), then
-    thresholded and inverted into CSR form.
+    Branch and bound over word prefixes: every query position grows its
+    candidate words one letter at a time, and a prefix is kept only while
+    its score plus the best the remaining letters could add (the sum of
+    the PSSM's per-column maxima over them) still reaches ``T``. The bound
+    never underestimates and the last letter is tested with the exact
+    ``score >= T``, so the survivors are exactly the ``(word, position)``
+    pairs a full score table would keep — without building that table.
 
     Parameters
     ----------
@@ -152,12 +138,9 @@ def build_neighborhood(
     n_pos = qlen - word_length + 1
     if n_pos <= 0:
         raise SequenceError(f"query of length {qlen} is shorter than W={word_length}")
-    pssm = build_pssm(query_codes, matrix)
-    words = all_words(word_length)
-    # scores[w, p] = sum_k pssm[words[w, k], p + k]
-    scores = np.zeros((words.shape[0], n_pos), dtype=np.int32)
-    for k in range(word_length):
-        scores += pssm[words[:, k], k : k + n_pos].astype(np.int32)
+    # Row p of the transposed PSSM: the score of every letter at position p.
+    pssm_t = np.ascontiguousarray(build_pssm(query_codes, matrix).T, dtype=np.int32)
+    pos = np.arange(n_pos, dtype=np.int64)
     if masked is not None:
         masked = np.asarray(masked, dtype=bool)
         if masked.size != qlen:
@@ -165,16 +148,34 @@ def build_neighborhood(
         bad = np.zeros(n_pos, dtype=bool)
         for k in range(word_length):
             bad |= masked[k : k + n_pos]
-        scores[:, bad] = np.iinfo(np.int32).min
-    word_ids, pos = np.nonzero(scores >= threshold)
-    counts = np.bincount(word_ids, minlength=words.shape[0])
-    offsets = np.zeros(words.shape[0] + 1, dtype=np.int64)
+        pos = pos[~bad]
+    # rest[k, p]: the most letters k+1 .. W-1 of a word at position p can add.
+    col_max = pssm_t.max(axis=1)
+    rest = np.zeros((word_length, n_pos), dtype=np.int32)
+    for k in range(word_length - 2, -1, -1):
+        rest[k] = rest[k + 1] + col_max[k + 1 : k + 1 + n_pos]
+    word = np.zeros(pos.size, dtype=np.int64)
+    score = np.zeros(pos.size, dtype=np.int32)
+    for k in range(word_length):
+        # Every surviving prefix extended by every letter; keep the pairs
+        # that can still reach T.
+        extended = score[:, None] + pssm_t[pos + k]
+        keep = np.flatnonzero(extended >= (threshold - rest[k, pos])[:, None])
+        prefix, letter = np.divmod(keep, ALPHABET_SIZE)
+        score = extended.ravel()[keep]
+        word = word[prefix] * ALPHABET_SIZE + letter
+        pos = pos[prefix]
+    # Survivors come out grouped by position; regroup by word, positions
+    # ascending inside each word (keys are unique, so the order is total).
+    key = np.sort(word * n_pos + pos)
+    n_words = num_words(word_length)
+    counts = np.bincount(key // n_pos, minlength=n_words)
+    offsets = np.zeros(n_words + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    # np.nonzero returns row-major order: grouped by word, positions ascending.
     return Neighborhood(
         word_length=word_length,
         threshold=threshold,
         offsets=offsets,
-        positions=pos.astype(np.int32),
+        positions=(key % n_pos).astype(np.int32),
         query_length=qlen,
     )

@@ -137,3 +137,47 @@ def alignment_keys(alignments):
         (a.seq_id, a.score, a.query_start, a.query_end, a.subject_start, a.subject_end)
         for a in alignments
     ]
+
+
+def all_words(word_length: int) -> np.ndarray:
+    """Every word of length ``W`` as residue codes, ``(A**W, W)`` ``uint8``.
+
+    Row ``i`` is the code sequence of the word with index ``i``.
+    """
+    from repro.alphabet import ALPHABET_SIZE
+
+    idx = np.arange(ALPHABET_SIZE**word_length, dtype=np.int64)
+    cols = [
+        (idx // ALPHABET_SIZE ** (word_length - 1 - k)) % ALPHABET_SIZE
+        for k in range(word_length)
+    ]
+    return np.stack(cols, axis=1).astype(np.uint8)
+
+
+def dense_neighborhood(query_codes, matrix, word_length, threshold, masked=None):
+    """Reference neighbourhood from the full ``A**W x positions`` score table.
+
+    Scores every word against every query position, thresholds, and reads
+    the CSR arrays off ``np.nonzero`` (row-major: grouped by word,
+    positions ascending). Returns ``(offsets, positions)`` — the arrays
+    :func:`repro.seeding.build_neighborhood` must reproduce exactly.
+    """
+    from repro.matrices.pssm import build_pssm
+
+    query_codes = np.asarray(query_codes, dtype=np.uint8)
+    n_pos = query_codes.size - word_length + 1
+    pssm = build_pssm(query_codes, matrix)
+    words = all_words(word_length)
+    # scores[w, p] = sum_k pssm[words[w, k], p + k]
+    scores = np.zeros((words.shape[0], n_pos), dtype=np.int32)
+    for k in range(word_length):
+        scores += pssm[words[:, k], k : k + n_pos].astype(np.int32)
+    if masked is not None:
+        bad = np.zeros(n_pos, dtype=bool)
+        for k in range(word_length):
+            bad |= np.asarray(masked, dtype=bool)[k : k + n_pos]
+        scores[:, bad] = np.iinfo(np.int32).min
+    word_ids, pos = np.nonzero(scores >= threshold)
+    offsets = np.zeros(words.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(word_ids, minlength=words.shape[0]), out=offsets[1:])
+    return offsets, pos.astype(np.int32)

@@ -90,6 +90,29 @@ class TestSweep:
             assert mine.query_length == int(c.query_codes.size)
         assert len(tagged) == int(tagged.per_query.sum())
 
+    def test_untag_equals_mask_filter_in_order(self, batch, index, tiny_db):
+        """``untag`` is the boolean-mask filter of the tagged columns,
+        element for element and in order, for every query."""
+        tagged = index.sweep_block(tiny_db)
+        assert len(tagged) > 0
+        for q in range(len(batch)):
+            mine = index.untag(tagged, q)
+            mask = tagged.query_id == q
+            assert np.array_equal(mine.seq_id, tagged.seq_id[mask])
+            assert np.array_equal(mine.query_pos, tagged.query_pos[mask])
+            assert np.array_equal(mine.subject_pos, tagged.subject_pos[mask])
+
+    def test_untagged_order_equals_detect_hits(self, batch, index, tiny_db):
+        """Each query's untagged hits keep per-query hit detection's order
+        (subject window, then ascending query position)."""
+        tagged = index.sweep_block(tiny_db)
+        for q, c in enumerate(batch):
+            solo = detect_hits(c.lookup, tiny_db).hits
+            mine = index.untag(tagged, q)
+            assert np.array_equal(mine.seq_id, solo.seq_id)
+            assert np.array_equal(mine.query_pos, solo.query_pos)
+            assert np.array_equal(mine.subject_pos, solo.subject_pos)
+
     def test_sweep_of_block_view_is_local(self, batch, index, tiny_db):
         block = tiny_db.view(3, 9)
         tagged = index.sweep_block(block)

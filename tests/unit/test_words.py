@@ -1,17 +1,15 @@
 """Unit tests for word enumeration and neighbourhood construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.alphabet import ALPHABET, ALPHABET_SIZE, encode
 from repro.errors import SequenceError
 from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
-from repro.seeding import (
-    all_words,
-    build_neighborhood,
-    num_words,
-    word_indices,
-)
+from repro.seeding import build_neighborhood, num_words, word_indices
+from tests.conftest import all_words
 
 
 def widx(word: str) -> int:
@@ -122,6 +120,21 @@ class TestNeighborhood:
     def test_query_length_recorded(self):
         q = encode("MKTAYIAK")
         assert build_neighborhood(q, BLOSUM62).query_length == 8
+
+    def test_long_query_peak_memory(self):
+        # The longest benchmark query (1,054 aa) keeps ~50k (word, position)
+        # pairs; building them must not cost a full words x positions
+        # score table (~145 MB traced).
+        rng = np.random.default_rng(1054)
+        q = rng.integers(0, 20, size=1054).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            nbr = build_neighborhood(q, BLOSUM62)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nbr.total_entries > 0
+        assert peak < 32 * 2**20
 
 
 def test_alphabet_letters_cover_examples():
